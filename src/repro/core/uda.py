@@ -66,13 +66,68 @@ class _DenseScorer:
     __slots__ = ("_table",)
 
     def __init__(self, items: np.ndarray, values: np.ndarray) -> None:
-        table = np.zeros(int(items[-1]) + 2)
+        table = np.zeros(int(items[-1]) + 2 if len(items) else 1)
         table[items] = values
         self._table = table
 
     def score(self, items: np.ndarray, values: np.ndarray) -> float:
         products = self._table.take(items, mode="clip") * values
         return math.fsum(products.tolist())
+
+    def score_rows(
+        self, items: np.ndarray, values: np.ndarray, offsets: np.ndarray
+    ) -> list[float]:
+        """:meth:`score` of every CSR row, bit-identical, in one pass.
+
+        Row ``i`` is ``items[offsets[i]:offsets[i + 1]]`` (``offsets``
+        starts at 0 and ends at ``len(items)``).  One gather-multiply
+        scores every row; a segmented sum (``np.add.reduceat``) serves
+        each row with at most two nonzero products.  That is exact: the
+        products are finite and ``>= +0.0``, adding ``+0.0`` changes
+        nothing, and a single IEEE add is correctly rounded — so any
+        summation order yields ``math.fsum``'s result.  Rows with more
+        nonzero products fall back to ``math.fsum`` over the row.
+        """
+        rows = len(offsets) - 1
+        if rows <= 0:
+            return []
+        products = self._table.take(items, mode="clip") * values
+        lengths = np.diff(offsets)
+        filled = np.flatnonzero(lengths)
+        sums = np.zeros(rows)
+        if len(filled):
+            starts = offsets[filled]
+            sums[filled] = np.add.reduceat(products, starts)
+            nonzero = products != 0.0
+            counts = np.add.reduceat(nonzero, starts, dtype=np.intp)
+            many = counts > 2
+            if many.any():
+                # fsum each such row's nonzero products, cut from one list.
+                flat = products[nonzero & np.repeat(many, lengths[filled])]
+                flat = flat.tolist()
+                ends = np.cumsum(counts[many]).tolist()
+                cuts = map(slice, [0, *ends[:-1]], ends)
+                sums[filled[many]] = list(
+                    map(math.fsum, map(flat.__getitem__, cuts))
+                )
+        return sums.tolist()
+
+
+def _score_rows(
+    vector: "QueryVector | UncertainAttribute",
+    items: np.ndarray,
+    probs: np.ndarray,
+    offsets: np.ndarray,
+) -> list[float]:
+    """Canonical scores of a run of stored tuples in CSR form.
+
+    Bit-identical to one ``equality_with_arrays`` call per row (see
+    :meth:`_DenseScorer.score_rows`).  Both index families verify whole
+    candidate runs and leaves through this, in either kernel mode.
+    """
+    if vector._scorer is None:
+        vector._scorer = _DenseScorer(vector.items, vector.probs)
+    return vector._scorer.score_rows(items, probs, offsets)
 
 
 class QueryVector:
@@ -98,9 +153,10 @@ class QueryVector:
             raise InvalidDistributionError(
                 "query vector items must be strictly ascending"
             )
-        if np.any(probs <= 0.0):
+        # NaN fails every comparison, so finiteness is checked apart.
+        if np.any(probs <= 0.0) or not np.isfinite(probs).all():
             raise InvalidDistributionError(
-                "query vector weights must be positive"
+                "query vector weights must be positive and finite"
             )
         items.setflags(write=False)
         probs.setflags(write=False)
@@ -143,6 +199,8 @@ class QueryVector:
             self._scorer = _DenseScorer(self.items, self.probs)
             return self._scorer.score(items, probs)
         return sparse_dot_fsum(self.items, self.probs, items, probs)
+
+    score_rows = _score_rows
 
     def equality_probability(self, other: "UncertainAttribute") -> float:
         """Canonical weighted score against a UDA."""
@@ -193,7 +251,12 @@ class UncertainAttribute:
                 )
             if items[0] < 0:
                 raise InvalidDistributionError("item indices must be >= 0")
-            if np.any(probs <= 0.0) or np.any(probs > 1.0):
+            # NaN fails every comparison, so finiteness is checked apart.
+            if (
+                np.any(probs <= 0.0)
+                or np.any(probs > 1.0)
+                or not np.isfinite(probs).all()
+            ):
                 raise InvalidDistributionError(
                     "probabilities must lie in (0, 1]"
                 )
@@ -354,6 +417,8 @@ class UncertainAttribute:
             self._scorer = _DenseScorer(self.items, self.probs)
             return self._scorer.score(items, probs)
         return sparse_dot_fsum(self.items, self.probs, items, probs)
+
+    score_rows = _score_rows
 
     def entropy(self) -> float:
         """Shannon entropy in nats over the stored support."""

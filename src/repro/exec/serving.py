@@ -18,7 +18,7 @@ path.  :class:`ServingExecutor` makes the protocol an explicit mode:
     (with its version-keyed decoded-node cache) reused across every
     request, plus a long-lived tuple-decode cache: candidate
     verification decodes the same stored tuples query after query, so
-    the decoded sparse arrays are kept across requests (installed on
+    their heap records are kept across requests (installed on
     the index only while a request executes, validated against the
     index's mutation stamp, and never visible to measurement-mode
     runs borrowing the same index).  Per-request I/O is attributed with the snapshot/delta
@@ -70,8 +70,8 @@ DEFAULT_SERVE_POOL_SIZE = 4096
 
 #: Entry cap on the serving tuple-decode cache.  Verification decodes
 #: the same stored tuples for query after query, so serve mode keeps
-#: the decoded sparse arrays across requests (the tuple-heap analog of
-#: the page-level decoded cache).
+#: their heap records across requests (the tuple-heap analog of the
+#: page-level decoded cache).
 DEFAULT_TUPLE_CACHE_ENTRIES = 1 << 18
 
 
@@ -242,7 +242,7 @@ class ServingExecutor:
         self._pin_reserve = pin_reserve
         #: The long-lived warm pool (serve mode only; None in measure).
         self.pool: BufferPool | None = None
-        #: Decoded tuples kept across requests (serve mode, indexes with
+        #: Tuple records kept across requests (serve mode, indexes with
         #: :meth:`~repro.invindex.index.ProbabilisticInvertedIndex.shared_scan`).
         #: Installed on the index only *while this executor executes*, so
         #: a measurement borrowing the same index stays byte-identical.

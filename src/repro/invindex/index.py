@@ -27,7 +27,12 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro.core.config import read_env_int
-from repro.core.exceptions import KeyNotFoundError, QueryError
+from repro.core.exceptions import (
+    KeyNotFoundError,
+    PageError,
+    QueryError,
+    SerializationError,
+)
 from repro.core.queries import (
     EqualityQuery,
     EqualityThresholdQuery,
@@ -47,7 +52,11 @@ from repro.obs.metrics import METRICS
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.heapfile import HeapFile, Rid
-from repro.storage.serialization import decode_heap_record, encode_heap_record
+from repro.storage.serialization import (
+    decode_heap_record,
+    decode_records,
+    encode_heap_record,
+)
 
 #: Tuples the active segment absorbs before it is sealed and a fresh
 #: one opens.  Small by design: segments are the write path's staging
@@ -142,11 +151,14 @@ class ProbabilisticInvertedIndex:
             return
         if pool.disk is not self.disk:
             raise QueryError("buffer pool must be backed by the index's disk")
-        self._pool.flush_all()  # don't strand dirty pages in the old pool
+        # Don't strand dirty pages in the old pool.  Every component
+        # shares it, so this one flush covers them all and the
+        # components are only re-pointed.
+        self._pool.flush_all()
         self._pool = pool
         self._heap.pool = pool
         for posting_list in self._lists.values():
-            posting_list.pool = pool
+            posting_list.repoint(pool)
         for segment in self._segments:
             segment.pool = pool
         if self.sketch is not None:
@@ -156,14 +168,15 @@ class ProbabilisticInvertedIndex:
     def shared_scan(self, memo: dict | None = None):
         """Memoize random-access tuple decodes for a batch of queries.
 
-        While active, :meth:`fetch_uda_arrays` keeps each decoded tuple in
-        memory, so a tuple verified by one query in a batch is served to
-        every later query without re-fetching its heap page or re-decoding
-        the record.  Per-query logical behavior (answer sets, scores, stop
-        rules) is untouched — only repeated physical work is skipped,
-        which is exactly the amortization :class:`repro.exec.BatchExecutor`
-        models with its shared per-batch pool.  Never active at batch
-        size 1, so per-query I/O counts stay the paper's.
+        While active, random accesses keep each tuple's heap record in
+        memory (a compact ``bytes`` copy), so a tuple verified by one
+        query in a batch is served to every later query without
+        re-fetching its heap page.  Per-query logical behavior (answer
+        sets, scores, stop rules) is untouched — only repeated physical
+        work is skipped, which is exactly the amortization
+        :class:`repro.exec.BatchExecutor` models with its shared
+        per-batch pool.  Never active at batch size 1, so per-query I/O
+        counts stay the paper's.
 
         ``memo`` lets a caller own the memo dict and carry it across
         scopes — the serving executor passes its long-lived tuple cache
@@ -455,29 +468,122 @@ class ProbabilisticInvertedIndex:
         """Random access: a tuple's stored sparse arrays, unvalidated.
 
         The stored layout guarantees item-sorted, float32-exact pairs,
-        so strategies can score against these directly (one random
-        access, no re-validation).
+        so callers can score against these directly (one random access,
+        no re-validation).
         """
         memo = self._tuple_memo
-        if memo is not None:
-            cached = memo.get(tid)
-            if cached is not None:
-                return cached
+        record = memo.get(tid) if memo is not None else None
+        if record is not None:
+            return self._decode_record(tid, record)
         try:
             rid = self._rid_of_tid[tid]
         except KeyError:
             raise KeyNotFoundError(f"tid {tid} not in index") from None
-        # Zero-copy read; the .astype calls below copy out of the page
-        # buffer before any other fetch can touch it.
-        stored_tid, pairs, _ = decode_heap_record(self._heap.get_view(rid))
+        view = self._heap.get_view(rid)
+        arrays = self._decode_record(tid, view)
+        if memo is not None:
+            memo[tid] = bytes(view)
+        return arrays
+
+    @staticmethod
+    def _decode_record(
+        tid: int, record: bytes | memoryview
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Decode ``tid``'s heap record (a zero-copy page view is fine:
+        the ``.astype`` calls copy out of the page buffer)."""
+        stored_tid, pairs, _ = decode_heap_record(record)
         if stored_tid != tid:
             raise KeyNotFoundError(
                 f"tuple list corrupted: rid of tid {tid} holds {stored_tid}"
             )
-        arrays = pairs["item"].astype(np.int64), pairs["prob"].astype(np.float64)
-        if memo is not None:
-            memo[tid] = arrays
-        return arrays
+        return pairs["item"].astype(np.int64), pairs["prob"].astype(np.float64)
+
+    def fetch_rows(
+        self, tids: list[int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Random access for a run of tuples, decoded as CSR rows.
+
+        The strategies' verification path.  Each tid is traced as a
+        ``verify.random_access`` and then costs one buffer-pool fetch,
+        in ``tids`` order — exactly the page accesses (reads, clock
+        state, trace) of a :meth:`fetch_uda_arrays` loop, including
+        the fetches an active :meth:`shared_scan` memo saves.  Decoding
+        waits until every page is in hand: one gather over the fetched
+        pages' slot directories and one over all the records.
+
+        Returns ``(items, probs, offsets)``: tuple ``tids[i]``'s stored
+        pairs are ``items[offsets[i]:offsets[i + 1]]`` and the matching
+        ``probs``.  Raises what :meth:`fetch_uda_arrays` raises for the
+        first bad tid.
+        """
+        memo = self._tuple_memo
+        # Memo lookups are trace-silent, so they can all run up front.
+        if memo is None:
+            remembered = [None] * len(tids)
+        else:
+            remembered = list(map(memo.get, tids))
+        rid_of_tid = self._rid_of_tid
+        fetch = self._pool.fetch_page
+        tracer = _trace.ACTIVE
+        pages = []
+        slots: list[int] = []
+        rows: list[int] = []
+        for row, (tid, record) in enumerate(zip(tids, remembered)):
+            if tracer is not None:
+                tracer.event("verify.random_access", tid=tid)
+            if record is None:
+                rid = rid_of_tid.get(tid)
+                if rid is None:
+                    raise KeyNotFoundError(f"tid {tid} not in index")
+                pages.append(fetch(rid[0]))
+                slots.append(rid[1])
+                rows.append(row)
+        try:
+            buffer, starts, ends = self._locate(pages, slots, rows, remembered)
+            stored, offsets, items, probs = decode_records(buffer, starts, ends)
+            valid = stored.tolist() == tids
+        except (PageError, SerializationError):
+            valid = False
+        if not valid:
+            # Replay the rows one at a time so the first bad one raises
+            # exactly what fetch_uda_arrays would have raised.
+            fetched = zip(pages, slots)
+            for tid, record in zip(tids, remembered):
+                if record is None:
+                    record = HeapFile.record_view(*next(fetched))
+                self._decode_record(tid, record)
+            raise SerializationError("tuple run failed its vectorized checks")
+        if memo is not None and pages:
+            for tid, record, start, end in zip(
+                tids, remembered, starts.tolist(), ends.tolist()
+            ):
+                if record is None:
+                    memo[tid] = buffer[start:end]
+        return items, probs, offsets
+
+    def _locate(
+        self, pages: list, slots: list[int], rows: list[int], remembered: list
+    ) -> tuple[bytes, np.ndarray, np.ndarray]:
+        """One buffer holding every row's record, plus each row's extent.
+
+        ``rows`` are the fetched rows (their records are on ``pages`` at
+        ``slots``, see :meth:`HeapFile.locate`); every other row's
+        record is its remembered ``bytes``, appended behind them.
+        """
+        if len(rows) == len(remembered):
+            return self._heap.locate(pages, slots)
+        hits = [record for record in remembered if record is not None]
+        lengths = np.fromiter(map(len, hits), np.int64, len(hits))
+        buffer, fetched_starts, fetched_ends = self._heap.locate(pages, slots)
+        starts = np.empty(len(remembered), dtype=np.int64)
+        ends = np.empty(len(remembered), dtype=np.int64)
+        starts[rows] = fetched_starts
+        ends[rows] = fetched_ends
+        hit = np.ones(len(remembered), dtype=bool)
+        hit[rows] = False
+        ends[hit] = len(buffer) + np.cumsum(lengths)
+        starts[hit] = ends[hit] - lengths
+        return b"".join([buffer, *hits]), starts, ends
 
     def fetch_uda(self, tid: int) -> UncertainAttribute:
         """Random access: fetch a tuple's full UDA from the tuple list."""

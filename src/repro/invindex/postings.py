@@ -78,6 +78,14 @@ class PostingList:
         # Flush first: dirty pages stranded in the old pool would leave
         # stale bytes (dangling leaf chains) on disk for the new pool.
         self._tree.pool.flush_all()
+        self.repoint(pool)
+
+    def repoint(self, pool: BufferPool) -> None:
+        """Switch to ``pool`` without flushing the old one.
+
+        For owners that share one pool among many lists and flush it
+        once themselves before re-pointing them all.
+        """
         self._tree.pool = pool
 
     def __len__(self) -> int:

@@ -97,9 +97,10 @@ class PostingSegment:
 
     @pool.setter
     def pool(self, pool: BufferPool) -> None:
+        # Re-point only: the owning index flushed the shared old pool.
         self._pool = pool
         for posting_list in self.lists.values():
-            posting_list.pool = pool
+            posting_list.repoint(pool)
 
     def insert(self, tid: int, uda: UncertainAttribute) -> None:
         """Route one tuple's pairs into this segment's lists."""

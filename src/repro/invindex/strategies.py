@@ -42,18 +42,21 @@ extra candidates, never drop a qualifying one.
 
 Kernels
 -------
-The per-posting bookkeeping (score accumulation, seen-set dedup, NRA
-lack bounds) runs block-wise over whole decoded leaf runs through
+The per-posting bookkeeping (score accumulation, NRA lack bounds) runs
+block-wise over whole decoded leaf runs through
 :mod:`repro.core.kernels`.  ``REPRO_KERNEL=scalar`` selects the original
 per-posting loops; both modes return bit-identical answers, stats, stop
 reasons, and counted page reads (enforced by the differential suite in
-``tests/invindex/test_kernel_differential.py``).
+``tests/invindex/test_kernel_differential.py``).  Run deduplication
+(:class:`~repro.core.kernels.SeenFilter`) and columnar verification
+(:class:`_Verifier`) are shared by both modes.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from itertools import compress, filterfalse
 
 import numpy as np
 
@@ -68,6 +71,9 @@ from repro.obs.metrics import METRICS
 
 #: Safety margin absorbing float error in pruning bounds (never in scores).
 EPSILON = 1e-10
+
+#: ``_POSITIVE(score)`` is ``score > 0.0``, callable from C-level loops.
+_POSITIVE = (0.0).__lt__
 
 #: Allowance for total tuple mass, which may exceed 1 by MASS_TOLERANCE.
 _MASS_BOUND = 1.0 + MASS_TOLERANCE
@@ -110,40 +116,6 @@ def _stop(stats: QueryStats, strategy: str, reason: str, **fields) -> None:
         tracer.event("strategy.stop", strategy=strategy, reason=reason, **fields)
 
 
-def _scalar_novel(seen: set[int], tids: np.ndarray) -> list[int]:
-    """The original per-posting dedup loop (``REPRO_KERNEL=scalar``)."""
-    novel = []
-    for tid in tids.tolist():
-        if tid in seen:
-            continue
-        seen.add(tid)
-        novel.append(tid)
-    return novel
-
-
-class _NovelFilter:
-    """First-encounter tid filter, kernel-mode dispatched.
-
-    Returns each run's never-seen tids in encounter order — the order
-    candidates get random-accessed, which the I/O counts depend on.
-    """
-
-    __slots__ = ("_seen", "_filter")
-
-    def __init__(self) -> None:
-        if kernels.vectorized():
-            self._seen = None
-            self._filter = kernels.SeenFilter()
-        else:
-            self._seen: set[int] = set()
-            self._filter = None
-
-    def admit(self, tids: np.ndarray) -> list[int]:
-        if self._filter is not None:
-            return self._filter.admit(tids).tolist()
-        return _scalar_novel(self._seen, tids)
-
-
 class _TopKFrontier:
     """The dynamic top-k frontier: found matches plus the k-th best score.
 
@@ -171,12 +143,15 @@ class _TopKFrontier:
             return len(self._tids)
         return len(self._found)
 
-    def add(self, tid: int, score: float) -> None:
+    def add_run(self, tids: list[int], scores: list[float]) -> None:
+        """Admit every candidate of a verified run that scored above 0."""
         if self._vectorized:
-            self._tids.append(tid)
-            self._scores.append(score)
-        else:
-            self._found.append(Match(tid=tid, score=score))
+            self._tids.extend(compress(tids, map(_POSITIVE, scores)))
+            self._scores.extend(filter(_POSITIVE, scores))
+            return
+        for tid, score in zip(tids, scores):
+            if score > 0.0:
+                self._found.append(Match(tid=tid, score=score))
 
     def round_done(self) -> None:
         """Called where the seed code re-sorted after a consumed run."""
@@ -205,7 +180,7 @@ class _TopKFrontier:
 
 
 class _Verifier:
-    """Random-access verification with per-query memoization."""
+    """Random-access verification of candidate runs, memoized per query."""
 
     def __init__(
         self,
@@ -218,53 +193,29 @@ class _Verifier:
         self._stats = stats
         self._cache: dict[int, float] = {}
 
-    def score(self, tid: int) -> float:
-        """Exact ``Pr(q = tid)`` via one random access (memoized)."""
-        cached = self._cache.get(tid)
-        if cached is not None:
-            return cached
-        self._stats.random_accesses += 1
-        self._stats.candidates_examined += 1
-        METRICS.inc("verify.random_access")
-        tracer = _trace.ACTIVE
-        if tracer is not None:
-            tracer.event("verify.random_access", tid=tid)
-        items, probs = self._index.fetch_uda_arrays(tid)
-        probability = self._q.equality_with_arrays(items, probs)
-        self._cache[tid] = probability
-        return probability
-
     def score_many(self, tids: list[int]) -> list[float]:
-        """:meth:`score` for a run of candidates, bookkeeping hoisted.
+        """Exact ``Pr(q = tid)`` for each of ``tids``, in order.
 
-        Semantically a per-tid :meth:`score` loop — same scores, same
-        per-miss trace events in the same order, same counter totals —
-        with the attribute lookups and counter updates lifted out of the
-        per-candidate hot path.
+        Each tid not verified before costs one random access, made in
+        first-occurrence order by one
+        :meth:`~repro.invindex.index.ProbabilisticInvertedIndex.fetch_rows`
+        call; the whole run is then scored by one
+        :meth:`~repro.core.uda.UncertainAttribute.score_rows`.  Scores,
+        per-access trace events and counters are those of verifying
+        the tids one at a time.
         """
         cache = self._cache
-        fetch = self._index.fetch_uda_arrays
-        equality = self._q.equality_with_arrays
-        tracer = _trace.ACTIVE
-        scores = []
-        misses = 0
-        for tid in tids:
-            cached = cache.get(tid)
-            if cached is not None:
-                scores.append(cached)
-                continue
-            misses += 1
-            if tracer is not None:
-                tracer.event("verify.random_access", tid=tid)
-            items, probs = fetch(tid)
-            probability = equality(items, probs)
-            cache[tid] = probability
-            scores.append(probability)
-        if misses:
-            self._stats.random_accesses += misses
-            self._stats.candidates_examined += misses
-            METRICS.inc("verify.random_access", misses)
-        return scores
+        fresh = list(filterfalse(cache.__contains__, dict.fromkeys(tids)))
+        if not fresh:
+            return [cache[tid] for tid in tids]
+        scores = self._q.score_rows(*self._index.fetch_rows(fresh))
+        cache.update(zip(fresh, scores))
+        self._stats.random_accesses += len(fresh)
+        self._stats.candidates_examined += len(fresh)
+        METRICS.inc("verify.random_access", len(fresh))
+        if len(fresh) == len(tids):  # then fresh is tids
+            return scores
+        return [cache[tid] for tid in tids]
 
 
 class _CursorSet:
@@ -493,7 +444,7 @@ class HighestProbFirst(SearchStrategy):
         cursors = _CursorSet(index, q)
         stats.nodes_visited += len(cursors)
         matches: list[Match] = []
-        novel = _NovelFilter()
+        novel = kernels.SeenFilter()
         while True:
             bound = cursors.bound()
             if bound < tau - EPSILON:
@@ -521,7 +472,7 @@ class HighestProbFirst(SearchStrategy):
         cursors = _CursorSet(index, q)
         stats.nodes_visited += len(cursors)
         found = _TopKFrontier(k)
-        novel = _NovelFilter()
+        novel = kernels.SeenFilter()
         while True:
             # Dynamic threshold: the k-th best exact score so far,
             # elevated to tau_floor when the rank-join caller supplied
@@ -542,9 +493,7 @@ class HighestProbFirst(SearchStrategy):
             tids, _ = cursors.pop_run(j)
             stats.entries_scanned += len(tids)
             novel_tids = novel.admit(tids)
-            for tid, score in zip(novel_tids, verifier.score_many(novel_tids)):
-                if score > 0.0:
-                    found.add(tid, score)
+            found.add_run(novel_tids, verifier.score_many(novel_tids))
             found.round_done()
         return QueryResult(found.results(), stats)
 
@@ -570,7 +519,7 @@ class RowPruning(SearchStrategy):
         verifier = _Verifier(index, q, stats)
         cutoff = tau / _MASS_BOUND - EPSILON
         matches: list[Match] = []
-        novel = _NovelFilter()
+        novel = kernels.SeenFilter()
         for item, q_prob in q.pairs_by_probability():
             if q_prob < cutoff:
                 # Pairs are in descending q_prob order; no later list can
@@ -603,7 +552,7 @@ class RowPruning(SearchStrategy):
         _begin(self.name, "top_k", k=k, tau_floor=tau_floor)
         verifier = _Verifier(index, q, stats)
         found = _TopKFrontier(k)
-        novel = _NovelFilter()
+        novel = kernels.SeenFilter()
         for item, q_prob in q.pairs_by_probability():
             tau_k = found.tau_k()
             tau_eff = tau_k if tau_k > tau_floor else tau_floor
@@ -626,9 +575,7 @@ class RowPruning(SearchStrategy):
             tids, _ = posting_list.read_all()
             stats.entries_scanned += len(tids)
             novel_tids = novel.admit(tids)
-            for tid, score in zip(novel_tids, verifier.score_many(novel_tids)):
-                if score > 0.0:
-                    found.add(tid, score)
+            found.add_run(novel_tids, verifier.score_many(novel_tids))
             found.round_done()
         else:
             _stop(stats, self.name, "exhausted")
@@ -655,7 +602,7 @@ class ColumnPruning(SearchStrategy):
         verifier = _Verifier(index, q, stats)
         cutoff = tau / max(q.total_mass, EPSILON) - EPSILON
         matches: list[Match] = []
-        novel = _NovelFilter()
+        novel = kernels.SeenFilter()
         for item, _ in q.pairs_by_probability():
             posting_list = index.posting_list(item)
             if posting_list is None:
@@ -683,7 +630,7 @@ class ColumnPruning(SearchStrategy):
         stats.nodes_visited += len(cursors)
         q_mass = max(q.total_mass, EPSILON)
         found = _TopKFrontier(k)
-        novel = _NovelFilter()
+        novel = kernels.SeenFilter()
         live = [not cursor.exhausted for cursor in cursors.cursors]
         while any(live):
             tau_k = found.tau_k()
@@ -710,11 +657,7 @@ class ColumnPruning(SearchStrategy):
                 stats.entries_scanned += int(keep.sum())
                 advanced = True
                 novel_tids = novel.admit(run_tids[keep])
-                for tid, score in zip(
-                    novel_tids, verifier.score_many(novel_tids)
-                ):
-                    if score > 0.0:
-                        found.add(tid, score)
+                found.add_run(novel_tids, verifier.score_many(novel_tids))
                 found.round_done()
             if not advanced:
                 break
@@ -906,8 +849,8 @@ class NoRandomAccess(SearchStrategy):
         # Final verification pass: confirmed tuples need exact scores, the
         # remaining unresolved candidates need a membership decision.
         matches = []
-        for tid in seen_in:
-            score = verifier.score(tid)
+        survivors = list(seen_in)
+        for tid, score in zip(survivors, verifier.score_many(survivors)):
             if score >= tau:
                 matches.append(Match(tid=tid, score=score))
         return QueryResult(matches, stats)
@@ -1044,7 +987,7 @@ class NoRandomAccess(SearchStrategy):
         )
         tau_eff = tau_k if tau_k > tau_floor else tau_floor
         heads = [cursor.head_prob() for cursor in cursors.cursors]
-        found = []
+        survivors = []
         for tid, mask in seen_in.items():
             lack = math.fsum(
                 cursors.q_probs[j] * heads[j]
@@ -1053,7 +996,9 @@ class NoRandomAccess(SearchStrategy):
             )
             if partial[tid] + lack < tau_eff - EPSILON:
                 continue  # upper bound cannot reach the k-th best
-            score = verifier.score(tid)
+            survivors.append(tid)
+        found = []
+        for tid, score in zip(survivors, verifier.score_many(survivors)):
             if score > 0.0:
                 found.append(Match(tid=tid, score=score))
         found.sort()

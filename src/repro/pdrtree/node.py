@@ -1,8 +1,9 @@
 """On-page layouts for PDR-tree nodes.
 
 PDR nodes hold variable-length entries, so unlike the B+-tree they are
-decoded into Python objects on fetch and re-encoded wholesale on update
-(CPU cost, never extra I/O).
+decoded on fetch and re-encoded wholesale on update (CPU cost, never
+extra I/O).  A leaf decodes into a :class:`LeafNode`: CSR columns that
+queries score in one pass; writers build per-entry objects from it.
 
 Leaf layout::
 
@@ -33,6 +34,7 @@ from repro.core.exceptions import PageError, SerializationError
 from repro.pdrtree.compression import BoundaryCodec
 from repro.pdrtree.mbr import BoundaryVector
 from repro.storage.page import Page
+from repro.storage.serialization import decode_records
 
 PDR_LEAF = 2
 PDR_INTERNAL = 3
@@ -55,6 +57,47 @@ class LeafEntry:
     @property
     def encoded_size(self) -> int:
         return _LEAF_RECORD_HEADER.size + len(self.items) * _PAIRS_DTYPE.itemsize
+
+
+class LeafNode:
+    """A decoded leaf as CSR columns: what queries score in one pass.
+
+    Entry ``i`` is tuple ``tids[i]`` with pairs
+    ``items[offsets[i]:offsets[i + 1]]`` and the matching ``probs``.
+    Writers, which need :class:`LeafEntry` objects, build them with
+    :attr:`entries` (views into the columns).  The node lives in the
+    pool's decoded cache under the page's version; treat it as
+    immutable.
+    """
+
+    __slots__ = ("tids", "offsets", "items", "probs")
+
+    def __init__(
+        self,
+        tids: np.ndarray,
+        offsets: np.ndarray,
+        items: np.ndarray,
+        probs: np.ndarray,
+    ) -> None:
+        self.tids = tids
+        self.offsets = offsets
+        self.items = items
+        self.probs = probs
+
+    @property
+    def entries(self) -> list[LeafEntry]:
+        bounds = self.offsets.tolist()
+        items, probs = self.items, self.probs
+        return [
+            LeafEntry(tid=tid, items=items[start:end], probs=probs[start:end])
+            for tid, start, end in zip(self.tids.tolist(), bounds, bounds[1:])
+        ]
+
+    def __len__(self) -> int:
+        return len(self.tids)
+
+    def __iter__(self):
+        return iter(self.entries)
 
 
 @dataclass
@@ -117,28 +160,28 @@ def append_leaf_record(page: Page, entry: LeafEntry) -> bool:
     return True
 
 
-def decode_leaf(page: Page) -> list[LeafEntry]:
-    """Deserialize the leaf node stored on ``page``."""
+def decode_leaf(page: Page) -> LeafNode:
+    """Deserialize the leaf node stored on ``page`` (one vectorized gather).
+
+    Only the record headers are walked in Python, to find where each
+    record starts; :func:`~repro.storage.serialization.decode_records`
+    then decodes every record at once into fresh arrays.
+    """
     if page.read_u8(0) != PDR_LEAF:
         raise PageError(f"page {page.page_id} is not a PDR leaf")
-    count = page.read_u16(2)
-    entries = []
+    data = page.data
+    unpack = _LEAF_RECORD_HEADER.unpack_from
+    header, width = _LEAF_RECORD_HEADER.size, _PAIRS_DTYPE.itemsize
+    last = page.size - header
+    starts = []
     offset = LEAF_HEADER_SIZE
-    # Zero-copy window; .astype below materializes independent arrays.
-    buffer = page.view()
-    for _ in range(count):
-        tid, npairs = _LEAF_RECORD_HEADER.unpack_from(buffer, offset)
-        offset += _LEAF_RECORD_HEADER.size
-        pairs = np.frombuffer(buffer, dtype=_PAIRS_DTYPE, count=npairs, offset=offset)
-        offset += npairs * _PAIRS_DTYPE.itemsize
-        entries.append(
-            LeafEntry(
-                tid=tid,
-                items=pairs["item"].astype(np.int64),
-                probs=pairs["prob"].astype(np.float64),
-            )
-        )
-    return entries
+    for _ in range(page.read_u16(2)):
+        starts.append(offset)
+        if offset > last:
+            break  # decode_records reports the overrun
+        offset += header + width * unpack(data, offset)[1]
+    ends = np.full(len(starts), page.size, dtype=np.int64)
+    return LeafNode(*decode_records(data, starts, ends))
 
 
 def encode_internal(

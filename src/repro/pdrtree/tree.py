@@ -64,6 +64,7 @@ from repro.pdrtree.node import (
     PDR_LEAF,
     ChildEntry,
     LeafEntry,
+    LeafNode,
     append_leaf_record,
     decode_internal,
     decode_leaf,
@@ -152,12 +153,13 @@ class PDRTree:
     #
     # Decoded nodes live in the pool's DecodedCache, keyed by the page's
     # (id, version).  The cache never bypasses the buffer pool — every
-    # access still fetches the page, so I/O accounting is unaffected —
-    # and writers re-prime it after each encode (this tree is the only
-    # writer), so version bumps strand stale entries rather than losing
-    # the decode work.
+    # access still fetches the page, so I/O accounting is unaffected.
+    # Writes bump the version, stranding stale entries.  Internal-node
+    # writers re-prime the cache after each encode (this tree is the
+    # only writer); a written leaf is decoded again on its next read,
+    # one vectorized pass per leaf version.
 
-    def _get_leaf(self, page_id: int) -> list[LeafEntry]:
+    def _get_leaf(self, page_id: int) -> LeafNode:
         page = self._pool.fetch_page(page_id)
         return self._pool.decoded.get_or_decode(LEAF_KIND, page, decode_leaf)
 
@@ -165,7 +167,6 @@ class PDRTree:
         page = self._pool.fetch_page(page_id)
         encode_leaf(page, self.codec, entries)
         self._pool.mark_dirty(page_id)
-        self._pool.decoded.put(LEAF_KIND, page, entries)
 
     def _get_internal(self, page_id: int) -> list[ChildEntry]:
         page = self._pool.fetch_page(page_id)
@@ -315,21 +316,16 @@ class PDRTree:
                 chosen = entries[index]
             path.append((page_id, index))
             page_id = chosen.child_id
-        # Fast path: append the record in place when it fits.  The decoded
-        # entry list is popped before the write (which bumps the page
-        # version) and re-primed under the new version afterwards, so the
-        # decode work survives the append.
+        # Fast path: append the record in place when it fits.
         if leaf_used_bytes(page) + entry.encoded_size <= page.size:
-            cached = self._pool.decoded.pop(LEAF_KIND, page)
             appended = append_leaf_record(page, entry)
             assert appended
             self._pool.mark_dirty(page_id)
-            if cached is not None:
-                cached.append(entry)
-                self._pool.decoded.put(LEAF_KIND, page, cached)
             self._leaf_of_tid[entry.tid] = page_id
         else:
-            self._split_leaf(page_id, self._get_leaf(page_id) + [entry], path)
+            self._split_leaf(
+                page_id, self._get_leaf(page_id).entries + [entry], path
+            )
         return True
 
     def delete(self, tid: int) -> None:
@@ -353,7 +349,7 @@ class PDRTree:
             page_id = self._leaf_of_tid.pop(tid)
         except KeyError:
             raise KeyNotFoundError(f"tid {tid} not in tree") from None
-        entries = [e for e in self._get_leaf(page_id) if e.tid != tid]
+        entries = [e for e in self._get_leaf(page_id).entries if e.tid != tid]
         self._put_leaf(page_id, entries)
         if self.sketch is not None:
             self.sketch.delete(tid)
@@ -543,7 +539,7 @@ class PDRTree:
 
         members: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for page_id in set(self._leaf_of_tid.values()):
-            for entry in self._get_leaf(page_id):
+            for entry in self._get_leaf(page_id).entries:
                 members[entry.tid] = (entry.items, entry.probs)
         sketch = SketchIndex(self._pool, params)
         for tid in sorted(members):
@@ -724,11 +720,14 @@ class PDRTree:
                     if descend:
                         stack.append(entry.child_id)
             else:
-                for entry in self._get_leaf(page_id):
-                    stats.candidates_examined += 1
-                    score = q.equality_with_arrays(entry.items, entry.probs)
+                leaf = self._get_leaf(page_id)
+                stats.candidates_examined += len(leaf)
+                for tid, score in zip(
+                    leaf.tids.tolist(),
+                    q.score_rows(leaf.items, leaf.probs, leaf.offsets),
+                ):
                     if score >= tau:
-                        matches.append(Match(tid=entry.tid, score=score))
+                        matches.append(Match(tid=tid, score=score))
         return QueryResult(matches, stats)
 
     def _peq_top_k(
@@ -795,11 +794,14 @@ class PDRTree:
                         )
                     visit(child_id)
             else:
-                for entry in self._get_leaf(page_id):
-                    stats.candidates_examined += 1
-                    score = q.equality_with_arrays(entry.items, entry.probs)
+                leaf = self._get_leaf(page_id)
+                stats.candidates_examined += len(leaf)
+                for tid, score in zip(
+                    leaf.tids.tolist(),
+                    q.score_rows(leaf.items, leaf.probs, leaf.offsets),
+                ):
                     if score > 0.0:
-                        found.append(Match(tid=entry.tid, score=score))
+                        found.append(Match(tid=tid, score=score))
                 found.sort()
                 del found[max(k, 0) + 64 :]  # keep a slack buffer sorted
 
@@ -881,7 +883,7 @@ class PDRTree:
                 # (same sparse divergence on the same floats; the UDA
                 # wrapper only re-validated already-valid pages).
                 direct = kernels.vectorized()
-                for entry in self._get_leaf(page_id):
+                for entry in self._get_leaf(page_id).entries:
                     if (
                         lb_of is not None
                         and lb_of.get(entry.tid, -math.inf) > query.threshold
@@ -963,7 +965,7 @@ class PDRTree:
             else:
                 direct = kernels.vectorized()
                 cut = sketch_cut() if lb_of is not None else math.inf
-                for entry in self._get_leaf(page_id):
+                for entry in self._get_leaf(page_id).entries:
                     if lb_of is not None:
                         if lb_of.get(entry.tid, -math.inf) > cut:
                             continue
@@ -1077,8 +1079,8 @@ class PDRTree:
                     entry.child_id for entry in tree._get_internal(page_id)
                 )
             else:
-                for entry in tree._get_leaf(page_id):
-                    tree._leaf_of_tid[entry.tid] = page_id
+                tids = tree._get_leaf(page_id).tids.tolist()
+                tree._leaf_of_tid.update(dict.fromkeys(tids, page_id))
         if tree.num_tuples != len(tree._leaf_of_tid):
             raise QueryError(
                 f"{path} is corrupt: catalog says {tree.num_tuples} "
@@ -1122,7 +1124,7 @@ class PDRTree:
         entries = []
         for page_id in sorted(leaf_pages):
             page = salvage_pool.fetch_page(page_id)
-            entries.extend(_decode_leaf(page))
+            entries.extend(_decode_leaf(page).entries)
         if int(metadata["num_tuples"]) != len(entries):
             raise RecoveryError(
                 f"{path} is corrupt: catalog says {metadata['num_tuples']} "

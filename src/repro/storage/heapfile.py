@@ -24,12 +24,16 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
+import numpy as np
+
 from repro.core.exceptions import PageError, RecordTooLargeError
 from repro.storage.buffer import BufferPool
 from repro.storage.page import Page
+from repro.storage.serialization import byte_windows
 
 _HEADER_SIZE = 4
 _SLOT_SIZE = 4
+_U16 = np.dtype("<u2")
 
 #: A record id: (page_id, slot index within the page).
 Rid = tuple[int, int]
@@ -132,16 +136,55 @@ class HeapFile:
         rewrite the page.
         """
         page_id, slot = rid
-        page = self.pool.fetch_page(page_id)
+        return self.record_view(self.pool.fetch_page(page_id), slot)
+
+    @staticmethod
+    def record_view(page: Page, slot: int) -> memoryview:
+        """Zero-copy view of record ``slot`` on an already-fetched page."""
         num_slots = page.read_u16(0)
         if not 0 <= slot < num_slots:
             raise PageError(
-                f"rid ({page_id}, {slot}): page has only {num_slots} slots"
+                f"rid ({page.page_id}, {slot}): page has only {num_slots} slots"
             )
         slot_offset = page.size - _SLOT_SIZE * (slot + 1)
         record_offset = page.read_u16(slot_offset)
         record_length = page.read_u16(slot_offset + 2)
         return page.view(record_offset, record_length)
+
+    @staticmethod
+    def locate(
+        pages: list[Page], slots: list[int]
+    ) -> tuple[bytes, np.ndarray, np.ndarray]:
+        """Record extents of a run of already-fetched ``(page, slot)``s.
+
+        The vectorized :meth:`record_view`: the distinct pages are copied
+        once into one buffer and every slot directory is read in one
+        gather.  Returns ``(buffer, starts, ends)`` — record ``i`` spans
+        ``buffer[starts[i]:ends[i]]`` — and raises :class:`PageError`,
+        as :meth:`record_view` does, for a slot outside its page's
+        directory or a record overrunning its page.
+        """
+        if not pages:
+            empty = np.empty(0, dtype=np.int64)
+            return b"", empty, empty
+        size = pages[0].size
+        page_ids = np.array([page.page_id for page in pages], dtype=np.int64)
+        distinct, row_page = np.unique(page_ids, return_inverse=True)
+        by_id = {page.page_id: page for page in pages}
+        buffer = b"".join([by_id[page_id].data for page_id in distinct.tolist()])
+        u16 = byte_windows(buffer, _U16)
+        base = row_page.astype(np.int64) * size
+        slot = np.asarray(slots, dtype=np.int64)
+        num_slots = u16[base]
+        _first_bad(
+            (slot < 0) | (slot >= num_slots), page_ids, slot,
+            "slot outside the page's directory",
+        )
+        directory = base + size - _SLOT_SIZE * (slot + 1)
+        starts = base + u16[directory]
+        ends = starts + u16[directory + 2]
+        _first_bad(ends > base + size, page_ids, slot, "record overruns its page")
+        return buffer, starts, ends
 
     def scan(self) -> Iterator[tuple[Rid, bytes]]:
         """Iterate over every record in file order (a full scan)."""
@@ -167,3 +210,13 @@ class HeapFile:
 
     def __repr__(self) -> str:
         return f"HeapFile(pages={self.num_pages})"
+
+
+def _first_bad(
+    bad: np.ndarray, page_ids: np.ndarray, slots: np.ndarray, problem: str
+) -> None:
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise PageError(
+            f"rid ({int(page_ids[row])}, {int(slots[row])}): {problem}"
+        )

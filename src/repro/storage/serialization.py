@@ -6,7 +6,9 @@ Layouts (all little-endian):
   ``(u32 item, f32 prob)``.  This is the paper's "pairs" representation
   (Section 2): only items with non-zero probability are stored, and each
   list of pairs "also stores the number of pairs in the list" (Section 3.2).
-* **Heap record** — ``u32 tid`` followed by a UDA payload.
+* **Heap record** — ``u32 tid`` followed by a UDA payload.  PDR-tree
+  leaves store their entries in the same layout, so one vectorized
+  decoder (:func:`decode_records`) serves both.
 * **Posting entry** — fixed 12 bytes: a big-endian order-preserving key
   (see :func:`encode_posting_key`) plus a ``f32`` probability.
 
@@ -31,6 +33,13 @@ _TID = struct.Struct("<I")
 
 #: dtype of a decoded pairs array: item id + probability.
 PAIRS_DTYPE = np.dtype([("item", "<u4"), ("prob", "<f4")])
+
+#: Bytes of a heap/leaf record header: ``u32 tid`` + ``u16 count``.
+RECORD_HEADER_SIZE = _TID.size + _HEADER.size
+
+_U16 = np.dtype("<u2")
+_U32 = np.dtype("<u4")
+_F32 = np.dtype("<f4")
 
 #: Fixed-point scale for posting keys (2**32 - 1).
 _PROB_SCALE = 0xFFFFFFFF
@@ -101,9 +110,80 @@ def encode_heap_record(tid: int, items: np.ndarray, probs: np.ndarray) -> bytes:
 
 def decode_heap_record(buffer: bytes | bytearray | memoryview, offset: int = 0) -> tuple[int, np.ndarray, int]:
     """Decode a heap record; returns ``(tid, pairs, end_offset)``."""
+    if len(buffer) < offset + RECORD_HEADER_SIZE:
+        raise SerializationError(
+            f"heap record at offset {offset} is shorter than its "
+            f"{RECORD_HEADER_SIZE}-byte header"
+        )
     (tid,) = _TID.unpack_from(buffer, offset)
     pairs, end = decode_uda_payload(buffer, offset + _TID.size)
     return tid, pairs, end
+
+
+def byte_windows(buffer: bytes | bytearray | memoryview, dtype: np.dtype) -> np.ndarray:
+    """A ``dtype`` value at every byte offset of ``buffer`` (zero-copy).
+
+    Element ``i`` reads the ``dtype.itemsize`` bytes starting at offset
+    ``i``, so fancy-indexing the result with byte offsets gathers
+    unaligned fields in one call (and copies them out of ``buffer``).
+    """
+    count = memoryview(buffer).nbytes - dtype.itemsize + 1
+    return np.ndarray(
+        (max(count, 0),), dtype=dtype, buffer=buffer, strides=(1,)
+    )
+
+
+def decode_records(
+    buffer: bytes | bytearray | memoryview,
+    starts: np.ndarray,
+    ends: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized decode of ``(u32 tid, UDA payload)`` records into CSR.
+
+    ``starts[i]`` is the byte offset of record ``i`` in ``buffer`` and
+    ``ends[i]`` the offset its bytes must not pass.  Returns ``(tids,
+    offsets, items, probs)``: record ``i`` holds
+    ``items[offsets[i]:offsets[i + 1]]`` (int64) and the matching
+    ``probs`` (float64, the stored f32 values), exactly the arrays
+    :func:`decode_heap_record` yields per record.  Every output is a
+    fresh array; none aliases ``buffer``.
+
+    Raises :class:`SerializationError` for the first record whose header
+    or pairs overrun its end.
+    """
+    width = PAIRS_DTYPE.itemsize
+    starts = np.asarray(starts, dtype=np.int64)
+    limits = np.minimum(
+        np.asarray(ends, dtype=np.int64), memoryview(buffer).nbytes
+    )
+    pair_starts = starts + RECORD_HEADER_SIZE
+    _first_overrun(pair_starts > limits, starts, "header")
+    # Typed windows gather faster than the structured pair dtype.
+    u32_at = byte_windows(buffer, _U32)
+    counts = byte_windows(buffer, _U16)[starts + _TID.size].astype(np.int64)
+    _first_overrun(pair_starts + counts * width > limits, starts, "pairs")
+    offsets = np.zeros(len(starts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    # Pair j of record i sits at pair_starts[i] + width * (j - offsets[i]).
+    positions = np.repeat(pair_starts - offsets[:-1] * width, counts)
+    positions += np.arange(offsets[-1]) * width
+    return (
+        u32_at[starts].astype(np.int64),
+        offsets,
+        u32_at[positions].astype(np.int64),
+        byte_windows(buffer, _F32)[positions + _U32.itemsize].astype(
+            np.float64
+        ),
+    )
+
+
+def _first_overrun(bad: np.ndarray, starts: np.ndarray, part: str) -> None:
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise SerializationError(
+            f"record {row} at offset {int(starts[row])}: its {part} "
+            "overrun the record's bytes"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -88,9 +88,9 @@ class TestSeenFilter:
     def test_first_encounter_order_preserved(self):
         admit = kernels.SeenFilter()
         first = admit.admit(np.array([5, 3, 5, 9], dtype=np.int64))
-        assert first.tolist() == [5, 3, 9]  # in-run dup dropped, order kept
+        assert first == [5, 3, 9]  # in-run dup dropped, order kept
         second = admit.admit(np.array([9, 2, 3, 7], dtype=np.int64))
-        assert second.tolist() == [2, 7]
+        assert second == [2, 7]
 
     def test_matches_scalar_set_loop(self):
         rng = np.random.default_rng(3)
@@ -103,7 +103,7 @@ class TestSeenFilter:
                 if tid not in seen:
                     seen.add(tid)
                     expected.append(tid)
-            assert admit.admit(run.astype(np.int64)).tolist() == expected
+            assert admit.admit(run.astype(np.int64)) == expected
 
 
 class TestMaskedLacks:

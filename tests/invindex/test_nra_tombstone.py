@@ -65,12 +65,15 @@ class StubIndex:
     def posting_list(self, item):
         return self._lists.get(item)
 
-    def fetch_uda_arrays(self, tid):
-        self.verified_tids.append(tid)
-        items, probs = self._udas[tid]
+    def fetch_rows(self, tids):
+        """The verifier's random access: one CSR row per tid, in order."""
+        self.verified_tids.extend(tids)
+        rows = [self._udas[tid] for tid in tids]
+        lengths = [len(items) for items, _ in rows]
         return (
-            np.asarray(items, dtype=np.int64),
-            np.asarray(probs, dtype=np.float64),
+            np.asarray([i for items, _ in rows for i in items], dtype=np.int64),
+            np.asarray([p for _, probs in rows for p in probs], dtype=np.float64),
+            np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
         )
 
 

@@ -55,7 +55,7 @@ class TestLeafLayout:
     def test_empty_leaf(self, codec):
         page = Page(0, size=128)
         encode_leaf(page, codec, [])
-        assert decode_leaf(page) == []
+        assert list(decode_leaf(page)) == []
 
     def test_overflow_rejected(self, codec):
         page = Page(0, size=64)

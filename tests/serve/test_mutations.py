@@ -232,3 +232,43 @@ class TestWireMutations:
                 )
             assert got == expected * 4
         run(scenario())
+
+
+class TestNonFiniteProbabilities:
+    """A NaN probability is refused at the wire, before the WAL sees it.
+
+    ``probs <= 0`` and ``probs > 1`` are both False for NaN, so only an
+    explicit finiteness check keeps it out of the index and the log.
+    """
+
+    def test_wire_nan_rejected_before_the_wal(self, index, relation, tmp_path):
+        wal = index._wal
+        lsn_before = wal.last_lsn
+        line = (
+            b'{"id": 1, "mutate": "insert", "tid": 100000, '
+            b'"items": [1, 2], "probs": [0.5, NaN]}\n'
+        )
+
+        async def scenario():
+            async with QueryServer(index, config=ServeConfig()) as server:
+                async with ServeClient(*server.address) as client:
+                    await client._send(line)
+                    payload = await client._read_payload()
+                    assert payload["status"] == "error"
+                    assert (await client.ping())["status"] == "ok"
+        run(scenario())
+        assert wal.last_lsn == lsn_before
+        assert 100000 not in index.live_tids()
+        # The log still replays cleanly onto a fresh copy of the index.
+        wal.close()
+        fresh = ProbabilisticInvertedIndex(len(relation.domain))
+        fresh.build(relation)
+        fresh.attach_wal(WriteAheadLog(tmp_path / "log.wal"), replay=True)
+        assert fresh.live_tids() == index.live_tids()
+
+    def test_protocol_refuses_nan(self):
+        with pytest.raises(ProtocolError):
+            mutation_from_wire(
+                {"mutate": "insert", "tid": 4, "items": [1],
+                 "probs": [float("nan")]}
+            )
