@@ -25,6 +25,8 @@ tuples and does not change any reported trend.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +38,14 @@ from repro.core.divergence import (
 )
 from repro.core.exceptions import QueryError
 from repro.core.uda import QueryVector, UncertainAttribute
+
+
+def _check_k(k) -> None:
+    """A top-k ``k`` is an integer >= 1 (a bool is not, nor is 2.0)."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise QueryError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise QueryError(f"k must be >= 1, got {k}")
 
 
 @dataclass(frozen=True)
@@ -79,8 +89,7 @@ class EqualityTopKQuery:
     def __post_init__(self) -> None:
         if self.q.nnz == 0:
             raise QueryError("top-k query distribution must be non-empty")
-        if self.k < 1:
-            raise QueryError(f"k must be >= 1, got {self.k}")
+        _check_k(self.k)
 
 
 @dataclass(frozen=True)
@@ -100,9 +109,9 @@ class SimilarityThresholdQuery:
     def __post_init__(self) -> None:
         if self.q.nnz == 0:
             raise QueryError("DSTQ query distribution must be non-empty")
-        if self.threshold < 0.0:
+        if not (math.isfinite(self.threshold) and self.threshold >= 0.0):
             raise QueryError(
-                f"DSTQ threshold must be >= 0, got {self.threshold}"
+                f"DSTQ threshold must be finite and >= 0, got {self.threshold}"
             )
         object.__setattr__(self, "_fn", get_divergence(self.divergence))
         object.__setattr__(
@@ -136,8 +145,7 @@ class SimilarityTopKQuery:
     def __post_init__(self) -> None:
         if self.q.nnz == 0:
             raise QueryError("top-k query distribution must be non-empty")
-        if self.k < 1:
-            raise QueryError(f"k must be >= 1, got {self.k}")
+        _check_k(self.k)
         object.__setattr__(self, "_fn", get_divergence(self.divergence))
         object.__setattr__(
             self, "_sparse_fn", get_sparse_divergence(self.divergence)

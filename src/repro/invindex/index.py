@@ -56,6 +56,7 @@ from repro.storage.serialization import (
     decode_heap_record,
     decode_records,
     encode_heap_record,
+    encode_records,
 )
 
 #: Tuples the active segment absorbs before it is sealed and a fresh
@@ -376,18 +377,14 @@ class ProbabilisticInvertedIndex:
             tids, probs = posting_list.read_all()
             if len(tids):
                 merged[item] = (tids, probs)
-        live_records = []
-        for tid in sorted(self._rid_of_tid):
-            items_arr, probs_arr = self.fetch_uda_arrays(tid)
-            live_records.append((tid, items_arr, probs_arr))
+        live = self.live_tids()
+        rows = self._read_rows(live, None)
         old_pages = sorted(self.disk.page_ids())
         # Rebuild: heap first, then posting trees in ascending item
         # order — the exact allocation sequence of a static build.
         self._heap = HeapFile(self._pool, tag="tuples")
-        self._rid_of_tid = {}
-        for tid, items_arr, probs_arr in live_records:
-            record = encode_heap_record(tid, items_arr, probs_arr)
-            self._rid_of_tid[tid] = self._heap.append(record)
+        page_ids, slots = self._heap.extend(*encode_records(live, *rows))
+        self._rid_of_tid = dict(zip(live, zip(page_ids.tolist(), slots.tolist())))
         self._lists = {}
         for item, (tids, probs) in merged.items():
             posting_list = PostingList(self._pool)
@@ -395,10 +392,8 @@ class ProbabilisticInvertedIndex:
             self._lists[item] = posting_list
         if self.sketch is not None:
             # Rebuild the sketch store deterministically over the live
-            # set (its stale pages are in ``old_pages``, freed below).
-            params = self.sketch.params
-            self.sketch = None
-            self.build_sketch(params, flush=False)
+            # rows (its stale pages are in ``old_pages``, freed below).
+            self._sketch_rows(self.sketch.params, live, rows)
         # The old pages are garbage now: drop their frames unwritten and
         # return them to the allocator.
         for page_id in old_pages:
@@ -430,15 +425,19 @@ class ProbabilisticInvertedIndex:
         build-then-mutate and mutate-then-compact converge on the same
         sketch pages.
         """
-        from repro.sketch import SketchIndex
-
-        sketch = SketchIndex(self._pool, params)
-        for tid in self.live_tids():
-            items, probs = self.fetch_uda_arrays(tid)
-            sketch.insert(tid, items, probs)
-        self.sketch = sketch
+        live = self.live_tids()
+        self._sketch_rows(params, live, self._read_rows(live, None))
         if flush:
             self._pool.flush_all()
+
+    def _sketch_rows(self, params, tids: list[int], rows) -> None:
+        """Attach a fresh sketch store over ``tids`` and their
+        ``(items, probs, offsets)`` rows."""
+        from repro.sketch import SketchIndex
+
+        items, probs, offsets = rows
+        self.sketch = SketchIndex(self._pool, params)
+        self.sketch.insert_rows(np.asarray(tids, dtype=np.int64), items, probs, offsets)
 
     # -- access paths -------------------------------------------------------------
 
@@ -516,6 +515,13 @@ class ProbabilisticInvertedIndex:
         ``probs``.  Raises what :meth:`fetch_uda_arrays` raises for the
         first bad tid.
         """
+        return self._read_rows(tids, _trace.ACTIVE)
+
+    def _read_rows(
+        self, tids: list[int], tracer
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`fetch_rows`, tracing each tid to ``tracer`` unless it is
+        None (maintenance reads are not verification)."""
         memo = self._tuple_memo
         # Memo lookups are trace-silent, so they can all run up front.
         if memo is None:
@@ -524,7 +530,6 @@ class ProbabilisticInvertedIndex:
             remembered = list(map(memo.get, tids))
         rid_of_tid = self._rid_of_tid
         fetch = self._pool.fetch_page
-        tracer = _trace.ACTIVE
         pages = []
         slots: list[int] = []
         rows: list[int] = []

@@ -529,27 +529,32 @@ class PDRTree:
     def build_sketch(self, params=None, *, flush: bool = True) -> None:
         """Build (or rebuild) the attached sketch store over the tree.
 
-        Gathers every member by one walk over the leaf pages, then
-        sketches in ascending-tid order so the page image is a
-        deterministic function of the logical contents.  Probabilities
-        are f32-rounded to match what the leaf pages store (what the
-        similarity traversals verify against).
+        Takes every member's row from the leaf columns (one walk over
+        the leaf pages), orders the rows by tid so the page image is a
+        deterministic function of the logical contents, and sketches
+        them in one run.  The columns hold the f32 values the leaf pages
+        store (what the similarity traversals verify against).
         """
         from repro.sketch import SketchIndex
 
-        members: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for page_id in set(self._leaf_of_tid.values()):
-            for entry in self._get_leaf(page_id).entries:
-                members[entry.tid] = (entry.items, entry.probs)
-        sketch = SketchIndex(self._pool, params)
-        for tid in sorted(members):
-            items, probs = members[tid]
-            sketch.insert(
-                tid,
-                np.asarray(items, dtype=np.int64),
-                np.asarray(probs, dtype=np.float32).astype(np.float64),
-            )
-        self.sketch = sketch
+        leaves = [
+            self._get_leaf(page_id) for page_id in set(self._leaf_of_tid.values())
+        ]
+        empty = np.zeros(0, dtype=np.int64)
+        tids = np.concatenate([empty, *(leaf.tids for leaf in leaves)])
+        counts = np.concatenate([empty, *(np.diff(leaf.offsets) for leaf in leaves)])
+        items = np.concatenate([empty, *(leaf.items for leaf in leaves)])
+        probs = np.concatenate([empty, *(leaf.probs for leaf in leaves)])
+        # The leaves' rows, reordered by tid: row ``order[i]`` becomes
+        # row ``i``, its pairs gathered in one fancy index.
+        order = np.argsort(tids, kind="stable")
+        starts = np.cumsum(counts) - counts
+        offsets = np.zeros(len(order) + 1, dtype=np.int64)
+        np.cumsum(counts[order], out=offsets[1:])
+        gather = np.repeat(starts[order] - offsets[:-1], counts[order])
+        gather += np.arange(offsets[-1])
+        self.sketch = SketchIndex(self._pool, params)
+        self.sketch.insert_rows(tids[order], items[gather], probs[gather], offsets)
         if flush:
             self._pool.flush_all()
 

@@ -23,6 +23,7 @@ across the socket.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -186,6 +187,27 @@ def mutation_to_wire(mutation: Mutation) -> dict[str, Any]:
     return wire
 
 
+def _non_negative(value: Any, name: str) -> float:
+    """``value`` as a finite, non-negative float, else a ProtocolError.
+
+    NaN passes every ``< 0`` test, and JSON admits ``NaN`` and
+    ``Infinity``, so finiteness is checked on its own; a bool is not a
+    number here even though Python says it is an int.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        number = math.nan
+    else:
+        try:
+            number = float(value)
+        except OverflowError:  # an int past the float range
+            number = math.inf
+    if not (math.isfinite(number) and number >= 0):
+        raise ProtocolError(
+            f"{name!r} must be a finite non-negative number, got {value!r}"
+        )
+    return number
+
+
 def parse_request(message: dict[str, Any]) -> Request:
     """Decode a query- or mutation-request object (already JSON-parsed)."""
     if "id" not in message:
@@ -194,39 +216,18 @@ def parse_request(message: dict[str, Any]) -> Request:
     if not isinstance(request_id, (int, str)) or isinstance(request_id, bool):
         raise ProtocolError(f"request 'id' must be int or str, got {request_id!r}")
     deadline_ms = message.get("deadline_ms")
-    if deadline_ms is not None and (
-        isinstance(deadline_ms, bool)
-        or not isinstance(deadline_ms, (int, float))
-        or deadline_ms < 0
-    ):
-        raise ProtocolError(
-            f"'deadline_ms' must be a non-negative number, got {deadline_ms!r}"
-        )
-    deadline = None if deadline_ms is None else float(deadline_ms)
-    tau_floor = message.get("tau_floor", 0.0)
-    if (
-        isinstance(tau_floor, bool)
-        or not isinstance(tau_floor, (int, float))
-        or tau_floor < 0
-    ):
-        raise ProtocolError(
-            f"'tau_floor' must be a non-negative number, got {tau_floor!r}"
-        )
+    deadline = (
+        None if deadline_ms is None else _non_negative(deadline_ms, "deadline_ms")
+    )
+    tau_floor = _non_negative(message.get("tau_floor", 0.0), "tau_floor")
     sketch = message.get("sketch")
     if sketch is not None and sketch not in SKETCH_MODES:
         raise ProtocolError(
             f"'sketch' must be one of {SKETCH_MODES}, got {sketch!r}"
         )
     div_ceiling = message.get("div_ceiling")
-    if div_ceiling is not None and (
-        isinstance(div_ceiling, bool)
-        or not isinstance(div_ceiling, (int, float))
-        or div_ceiling < 0
-    ):
-        raise ProtocolError(
-            f"'div_ceiling' must be a non-negative number, got "
-            f"{div_ceiling!r}"
-        )
+    if div_ceiling is not None:
+        div_ceiling = _non_negative(div_ceiling, "div_ceiling")
     if "mutate" in message:
         if tau_floor:
             raise ProtocolError("'tau_floor' is not valid on a mutation")
@@ -264,9 +265,9 @@ def parse_request(message: dict[str, Any]) -> Request:
         id=request_id,
         query=query,
         deadline_ms=deadline,
-        tau_floor=float(tau_floor),
+        tau_floor=tau_floor,
         sketch=sketch,
-        div_ceiling=None if div_ceiling is None else float(div_ceiling),
+        div_ceiling=div_ceiling,
     )
 
 

@@ -56,6 +56,33 @@ from repro.serve.protocol import (
     parse_request,
 )
 
+#: Longest request line the server parses (asyncio's default stream
+#: limit).  A longer line is read through its newline, discarded and
+#: answered with one error; the connection stays usable.
+MAX_LINE_BYTES = 2**16
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next line (``b""`` at end of stream), or None for a line
+    longer than the reader's limit, whose bytes are skipped through its
+    newline (or the end of the stream)."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+    except asyncio.LimitOverrunError as exc:
+        skip = exc.consumed
+    while True:
+        try:
+            await reader.readexactly(skip)
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as exc:
+            skip = exc.consumed
+
+
 #: Response statuses tallied in :attr:`QueryServer.counters`.
 _STATUSES = ("ok", "shed", "timeout", "error")
 
@@ -131,7 +158,7 @@ class QueryServer:
         self._wake = asyncio.Event()
         self._running = True
         self._server = await asyncio.start_server(
-            self._handle, self.config.host, self.config.port
+            self._handle, self.config.host, self.config.port, limit=MAX_LINE_BYTES
         )
         self._batcher = asyncio.create_task(self._batch_loop())
 
@@ -213,7 +240,12 @@ class QueryServer:
         pump = asyncio.create_task(self._pump(out, writer))
         try:
             while True:
-                line = await reader.readline()
+                line = await _read_line(reader)
+                if line is None:
+                    await out.put(self._immediate_error(
+                        None, "?", f"request line exceeds {MAX_LINE_BYTES} bytes"
+                    ))
+                    continue
                 if not line:
                     break
                 await out.put(self._dispatch(line))

@@ -64,7 +64,13 @@ import numpy as np
 from repro.core.divergence import KL_EPSILON
 from repro.core.exceptions import QueryError
 
-from repro.sketch.minhash import fingerprint_bits, project
+from repro.sketch.minhash import (
+    fingerprint_bits,
+    fingerprints,
+    project,
+    projections,
+    row_sums,
+)
 
 #: Absolute slack absorbing f32 storage rounding of mass/projection
 #: coordinates (|s| <= 1, so the cast error is < 2^-24 ~ 6e-8).
@@ -93,25 +99,33 @@ def record_dtype(num_projections: int) -> np.dtype:
     )
 
 
-def encode_record(
-    tid: int,
+def encode_records(
+    tids: np.ndarray,
     items: np.ndarray,
     probs: np.ndarray,
+    offsets: np.ndarray,
     num_projections: int,
     seed: int,
-) -> bytes:
-    """Serialize one tuple's projection sketch."""
-    from repro.sketch.minhash import fingerprint
+) -> np.ndarray:
+    """The projection-sketch records of N tuples given as CSR rows.
 
-    record = np.zeros(1, dtype=record_dtype(num_projections))
-    record["tid"] = tid
-    record["nnz"] = len(items)
-    record["mass"] = float(np.asarray(probs, dtype=np.float64).sum())
-    record["fp"] = fingerprint(np.asarray(items, dtype=np.int64), seed)
-    record["proj"] = project(
-        np.asarray(items, dtype=np.int64), probs, num_projections, seed
-    ).astype(np.float32)
-    return record.tobytes()
+    Tuple ``tids[i]`` holds ``items[offsets[i]:offsets[i + 1]]`` and the
+    matching ``probs``.  Returns a structured array of
+    :func:`record_dtype`; ``.tobytes()`` is the on-page record stream.
+    Every field is one segmented reduction over the rows (an empty row
+    gets nnz 0, mass 0, fp 0 and zero projections); ``mass`` equals each
+    row's ``ndarray.sum`` bit for bit (:func:`~repro.sketch.minhash.row_sums`).
+    """
+    items = np.asarray(items, dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    probs = np.asarray(probs, dtype=np.float64)
+    records = np.zeros(len(offsets) - 1, dtype=record_dtype(num_projections))
+    records["tid"] = tids
+    records["nnz"] = np.diff(offsets)
+    records["mass"] = row_sums(probs, offsets)
+    records["fp"] = fingerprints(items, offsets, seed)
+    records["proj"] = projections(items, probs, offsets, num_projections, seed)
+    return records
 
 
 def shave(bounds: np.ndarray) -> np.ndarray:
@@ -203,9 +217,8 @@ def lower_bound(
     contract ``lower_bound(q, v) <= divergence(q, v)`` is property
     tested against every registered divergence.
     """
-    record = np.frombuffer(
-        encode_record(0, v_items, v_probs, num_projections, seed),
-        dtype=record_dtype(num_projections),
+    record = encode_records(
+        [0], v_items, v_probs, [0, len(v_items)], num_projections, seed
     )
     sketch = QuerySketch(q_items, q_probs, divergence, num_projections, seed)
     return float(sketch.lower_bounds(record)[0])

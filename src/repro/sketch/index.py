@@ -29,10 +29,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro.core.exceptions import QueryError
-from repro.sketch.bounds import QuerySketch, encode_record, record_dtype
-from repro.sketch.minhash import band_keys, minhash_signature
+from repro.sketch.bounds import QuerySketch, encode_records, record_dtype
+from repro.sketch.minhash import BLOCK_VALUES, band_keys, minhash_signatures
 from repro.storage.buffer import BufferPool
-from repro.storage.heapfile import HeapFile
+from repro.storage.heapfile import HeapFile, extend_interleaved
 
 #: Page tag under which every sketch page is allocated and read.
 SKETCH_TAG = "sketch"
@@ -99,34 +99,94 @@ class SketchIndex:
     # -- maintenance --------------------------------------------------------
 
     def insert(self, tid: int, items: np.ndarray, probs: np.ndarray) -> None:
-        """Sketch one tuple: append both records, index its bands.
+        """Sketch one tuple (a one-row :meth:`insert_rows`)."""
+        self.insert_rows(np.array([tid]), items, probs, np.array([0, len(items)]))
 
-        ``probs`` must be the f32-exact values the host index stores
-        (what verification will score against), so the projection/mass
-        slack of :mod:`repro.sketch.bounds` stays sufficient.
+    def insert_rows(
+        self,
+        tids: np.ndarray,
+        items: np.ndarray,
+        probs: np.ndarray,
+        offsets: np.ndarray,
+    ) -> None:
+        """Sketch a run of tuples given as CSR rows, in order.
+
+        Tuple ``tids[i]`` holds ``items[offsets[i]:offsets[i + 1]]`` and
+        the matching ``probs``, which must be the f32-exact values the
+        host index stores (what verification will score against), so the
+        projection/mass slack of :mod:`repro.sketch.bounds` stays
+        sufficient.  Both records of every row are encoded column-wise
+        and written a page at a time, the two heaps' pages allocated as
+        if each row were appended to both in turn; then the rows' bands
+        are indexed.
         """
         params = self.params
-        self._proj_heap.append(
-            encode_record(tid, items, probs, params.num_projections, params.seed)
+        tids = np.asarray(tids, dtype=np.int64)
+        records = encode_records(
+            tids, items, probs, offsets, params.num_projections, params.seed
         )
-        signature = minhash_signature(
-            np.asarray(items, dtype=np.int64), params.num_perm, params.seed
+        signatures = np.zeros(len(tids), dtype=self._sig_dtype)
+        signatures["tid"] = tids
+        signatures["sig"] = minhash_signatures(
+            items, offsets, params.num_perm, params.seed
         )
-        record = np.zeros(1, dtype=self._sig_dtype)
-        record["tid"] = tid
-        record["sig"] = signature
-        self._sig_heap.append(record.tobytes())
-        self._index_signature(tid, signature)
-        self._tids.add(tid)
+        extend_interleaved([
+            (heap, column.view(np.uint8), np.full(len(tids), column.itemsize))
+            for heap, column in (
+                (self._proj_heap, records), (self._sig_heap, signatures)
+            )
+        ])
+        # One int object per tid, shared by the live set and every band.
+        members = tids.astype(object)
+        self._index_signatures(members, signatures["sig"])
+        self._tids.update(members)
 
     def delete(self, tid: int) -> None:
         """Drop a tuple from the live set; its records linger until the
         host index's next compaction rebuilds the store."""
         self._tids.discard(tid)
 
-    def _index_signature(self, tid: int, signature: np.ndarray) -> None:
-        for key in band_keys(signature, self.params.bands):
-            self._bands.setdefault(key, set()).add(tid)
+    def _index_signatures(self, members: np.ndarray, signatures: np.ndarray) -> None:
+        """Add every row's band keys to the band tables.
+
+        ``members`` holds each row's tid as an int object (dtype object),
+        which every band's set then shares.  A block of bands at a time
+        (about :data:`BLOCK_VALUES` entries): each (band, row) entry is
+        keyed by the band number and the band's slice of the signature,
+        the entries are sorted by key, and the run of tids under each
+        distinct key joins one set.
+        """
+        bands = self.params.bands
+        rows = self.params.num_perm // bands
+        width = 1 + 4 * rows
+        count = len(members)
+        if not count:
+            return
+        signatures = np.asarray(signatures, dtype="<u4").reshape(count, bands, rows)
+        table = self._bands
+        step = max(1, BLOCK_VALUES // count)
+        for first in range(0, bands, step):
+            block = signatures[:, first : first + step].swapaxes(0, 1)
+            keyed = np.empty((len(block), count, rows + 1), dtype="<u4")
+            keyed[:, :, 0] = np.arange(first, first + len(block))[:, None]
+            keyed[:, :, 1:] = block
+            keyed = keyed.reshape(-1, rows + 1)
+            # Any one-to-one view of an entry's bytes groups alike.
+            keys = keyed.view("<u8" if rows == 1 else f"V{4 * (rows + 1)}").reshape(-1)
+            order = np.argsort(keys, kind="stable")
+            ordered = keys[order]
+            firsts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+            firsts = np.concatenate(([0], firsts))
+            heads = keyed[order[firsts]]
+            prefixed = np.empty((len(firsts), width), dtype=np.uint8)
+            prefixed[:, 0] = heads[:, 0]
+            prefixed[:, 1:] = heads[:, 1:].view(np.uint8)
+            blob = prefixed.tobytes()
+            grouped = members[order % count].tolist()
+            ends = [*firsts[1:].tolist(), len(order)]
+            for group, (start, end) in enumerate(zip(firsts.tolist(), ends)):
+                key = blob[group * width : (group + 1) * width]
+                table.setdefault(key, set()).update(grouped[start:end])
 
     # -- query-time access --------------------------------------------------
 
@@ -138,7 +198,8 @@ class SketchIndex:
         :class:`~repro.core.queries.SimilarityTopKQuery`).  Returns
         ``(tids, lower_bounds)`` in ascending-tid order, deduplicated
         (last record wins) and restricted to live tuples.  Every page
-        read flows through the pool under :data:`SKETCH_TAG`.
+        read flows through the pool under :data:`SKETCH_TAG`, one fetch
+        per page in file order.
         """
         params = self.params
         sketch = QuerySketch(
@@ -148,28 +209,25 @@ class SketchIndex:
             params.num_projections,
             params.seed,
         )
-        chunks = [record for _, record in self._proj_heap.scan()]
-        if not chunks:
-            return np.zeros(0, dtype=np.int64), np.zeros(0)
-        records = np.frombuffer(b"".join(chunks), dtype=self._record_dtype)
+        records = self._proj_heap.scan_array(self._record_dtype)
         lbs = sketch.lower_bounds(records)
         tids = records["tid"].astype(np.int64)
-        latest: dict[int, int] = {}
-        for row, tid in enumerate(tids.tolist()):
-            if tid in self._tids:
-                latest[tid] = row
-        ordered = sorted(latest)
-        rows = np.fromiter(
-            (latest[tid] for tid in ordered), dtype=np.int64, count=len(ordered)
-        )
-        return np.asarray(ordered, dtype=np.int64), lbs[rows]
+        # Sorted by tid, stably: the last row of each tid is its latest.
+        order = np.argsort(tids, kind="stable")
+        ordered = tids[order]
+        rows = order[np.append(ordered[1:] != ordered[:-1], True)[: len(order)]]
+        rows = rows[np.isin(tids[rows], self._live_array())]
+        return tids[rows], lbs[rows]
+
+    def _live_array(self) -> np.ndarray:
+        return np.fromiter(self._tids, dtype=np.int64, count=len(self._tids))
 
     def lsh_candidates(self, items: np.ndarray) -> list[int]:
         """Live tuple ids sharing at least one LSH band with ``items``."""
         params = self.params
-        signature = minhash_signature(
-            np.asarray(items, dtype=np.int64), params.num_perm, params.seed
-        )
+        signature = minhash_signatures(
+            items, [0, len(items)], params.num_perm, params.seed
+        )[0]
         found: set[int] = set()
         for key in band_keys(signature, params.bands):
             found.update(self._bands.get(key, ()))
@@ -216,11 +274,12 @@ class SketchIndex:
             pool, state["sig_heap"], tag=SKETCH_TAG
         )
         sketch._tids = set(live_tids)
-        for _, record in sketch._sig_heap.scan():
-            decoded = np.frombuffer(record, dtype=sketch._sig_dtype)[0]
-            tid = int(decoded["tid"])
-            if tid in sketch._tids:
-                sketch._index_signature(tid, decoded["sig"])
+        signatures = sketch._sig_heap.scan_array(sketch._sig_dtype)
+        tids = signatures["tid"].astype(np.int64)
+        # Every live record is indexed: both records of a tid deleted
+        # and re-inserted since the last compaction join the tables.
+        live = np.isin(tids, sketch._live_array())
+        sketch._index_signatures(tids[live].astype(object), signatures["sig"][live])
         return sketch
 
     def __repr__(self) -> str:

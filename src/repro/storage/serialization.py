@@ -133,6 +133,37 @@ def byte_windows(buffer: bytes | bytearray | memoryview, dtype: np.dtype) -> np.
     )
 
 
+def encode_records(
+    tids: np.ndarray, items: np.ndarray, probs: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of :func:`decode_records`: N CSR rows as heap records.
+
+    ``offsets`` starts at 0, as :func:`decode_records` returns it.
+    Returns ``(buffer, lengths)``, the run
+    :meth:`~repro.storage.heapfile.HeapFile.extend` takes: the records
+    back to back in a uint8 array, record ``i`` being ``lengths[i]``
+    bytes and equal to ``encode_heap_record(tids[i],
+    items[offsets[i]:offsets[i + 1]], probs[offsets[i]:offsets[i + 1]])``.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    counts = np.diff(offsets)
+    if (counts > 0xFFFF).any():
+        raise SerializationError(
+            f"UDA has {int(counts.max())} pairs; maximum is 65535"
+        )
+    width = PAIRS_DTYPE.itemsize
+    lengths = RECORD_HEADER_SIZE + counts * width
+    starts = np.cumsum(lengths) - lengths
+    buffer = np.zeros(int(lengths.sum()), dtype=np.uint8)
+    byte_windows(buffer, _U32)[starts] = tids
+    byte_windows(buffer, _U16)[starts + _TID.size] = counts
+    positions = np.repeat(starts + RECORD_HEADER_SIZE - offsets[:-1] * width, counts)
+    positions += np.arange(offsets[-1]) * width
+    byte_windows(buffer, _U32)[positions] = items
+    byte_windows(buffer, _F32)[positions + _U32.itemsize] = probs
+    return buffer, lengths
+
+
 def decode_records(
     buffer: bytes | bytearray | memoryview,
     starts: np.ndarray,

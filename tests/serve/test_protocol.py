@@ -199,6 +199,37 @@ def test_request_div_ceiling_must_be_non_negative_number():
             parse_request(message)
 
 
+@pytest.mark.parametrize("kind_index", [2, 5], ids=["topk", "simtopk"])
+@pytest.mark.parametrize("bad_k", [True, False, 2.5, 3.0, float("inf"), "3"])
+def test_request_k_must_be_an_integer(kind_index, bad_k):
+    # JSON true would otherwise run as k=1, and 2.5 reach the executors.
+    wire = {**query_to_wire(EXAMPLES[kind_index]), "k": bad_k}
+    with pytest.raises(QueryError, match="k must be an integer"):
+        parse_request(decode_line(encode_line({"id": 1, **wire})))
+
+
+@pytest.mark.parametrize(
+    "field, kind_index",
+    [("deadline_ms", 0), ("tau_floor", 2), ("div_ceiling", 5)],
+)
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_request_numbers_must_be_finite(field, kind_index, bad):
+    # NaN passes every "< 0" test; JSON admits NaN and Infinity.
+    line = encode_line({"id": 1, **query_to_wire(EXAMPLES[kind_index])})
+    line = line[:-2] + f', "{field}": {bad}}}\n'.encode()
+    with pytest.raises(ProtocolError, match=field):
+        parse_request(decode_line(line))
+
+
+def test_similarity_threshold_must_be_finite():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(QueryError, match="finite"):
+            SimilarityThresholdQuery(uda((2, 0.75)), bad, "l1")
+    wire = {**query_to_wire(EXAMPLES[4]), "threshold": float("nan")}
+    with pytest.raises(QueryError, match="finite"):
+        parse_request({"id": 1, **wire})
+
+
 def test_request_sketch_fields_rejected_on_mutation():
     for extra in ({"sketch": "exact"}, {"div_ceiling": 0.5}):
         message = {"id": 1, "mutate": "compact", **extra}

@@ -118,6 +118,30 @@ def test_malformed_and_unknown_requests_answer_error(index):
     assert bad_op["status"] == "error" and "unknown op" in bad_op["error"]
 
 
+@pytest.mark.parametrize("size", [70_000, 1_000_000])
+def test_oversized_request_line_answers_one_error(index, size):
+    # A line past the reader's 64 KiB limit used to escape _handle as a
+    # ValueError: no reply, and the connection dropped.
+    async def scenario():
+        async with QueryServer(index, config=ServeConfig()) as server:
+            reader, writer = await asyncio.open_connection(*server.address)
+            writer.write(b'{"id": 1, "pad": "' + b"x" * size + b'"}\n')
+            writer.write(encode_line({"op": "ping", "id": 2}))
+            await writer.drain()
+            lines = [await reader.readline() for _ in range(2)]
+            writer.write_eof()
+            rest = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            return [json.loads(line) for line in lines], rest, server.counters
+
+    (error, pong), rest, counters = run(scenario())
+    assert error["status"] == "error" and "exceeds" in error["error"]
+    assert pong == {"id": 2, "op": "pong", "status": "ok"}
+    assert rest == b""
+    assert counters["error"] == 1
+
+
 def test_inflight_cap_sheds(index, workload):
     async def scenario():
         # One in-flight slot and a long coalesce window: everything

@@ -22,6 +22,7 @@ from repro.storage.serialization import (
     decode_heap_record,
     decode_records,
     encode_heap_record,
+    encode_records,
 )
 
 records = st.lists(
@@ -64,6 +65,16 @@ def test_matches_decode_heap_record(run, gap):
         span = slice(offsets[row], offsets[row + 1])
         assert items[span].tolist() == pairs["item"].astype(np.int64).tolist()
         assert probs[span].tolist() == pairs["prob"].astype(np.float64).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(records)
+def test_encode_records_matches_encode_heap_record(run):
+    buffer, starts, ends = encoded(run)
+    tids, offsets, items, probs = decode_records(buffer, starts, ends)
+    packed, lengths = encode_records(tids, items, probs, offsets)
+    assert packed.tobytes() == buffer
+    assert lengths.tolist() == (ends - starts).tolist()
 
 
 def test_outputs_do_not_alias_the_buffer():
